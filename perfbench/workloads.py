@@ -61,7 +61,7 @@ from repro.serve.workload import (
 
 SETUP_REPEATS = 5      # set-ups per run; setup_s is their median
 OUTSTANDING = 8        # closed-loop requests in flight
-SWAP_ROUNDS = 9        # serve-side model-freshness rounds after the window
+SWAP_ROUNDS = 25       # serve-side model-freshness rounds after the window
 BURST_SIZE = 64        # deltas per serve-churn update burst
 REQUEST_TIMEOUT = 60.0
 
@@ -414,7 +414,8 @@ def run_serve(spec: ServeSpec, seed: int, seconds: float,
     }
     p90 = harness.percentile(latencies, 90)
     outcome.notes.append(f"{completed} requests completed, "
-                         f"{sum(value > p90 for value in latencies)} beyond p90")
+                         f"{sum(value > p90 for value in latencies)} beyond p90, "
+                         f"swap rounds {[round(r, 4) for r in rounds]}")
     return outcome
 
 
@@ -504,8 +505,9 @@ def _run_serve_traced(spec: ServeSpec, seed: int, seconds: float,
 # ====================================================================== #
 LEARN_DATASET = (150, 100, 40.0)
 LEARN_MODEL = dict(num_blocks=2, num_heads=4, attr_dim=8, seed=0)
-LEARN_STEPS_PER_SECOND = 5      # base train_step calls per --seconds
-LEARN_SECONDS_PER_ROUND = 10    # --seconds per online round
+LEARN_STEPS_PER_SECOND = 4      # base train_step calls per --seconds
+LEARN_ROUNDS_PER_SECOND = 0.4   # online rounds per --seconds; round_s is
+                                # their median
 FINE_TUNE_STEPS = 12
 INGESTS_PER_ROUND = 8
 INGEST_SIZE = 64
@@ -517,7 +519,7 @@ def _learn_sizes(seconds: float) -> tuple[int, int]:
     not a deadline — ends the window, so the final model and its probe
     RMSE are a pure function of ``(seed, seconds)``."""
     steps = max(1, round(seconds * LEARN_STEPS_PER_SECOND))
-    rounds = max(1, round(seconds / LEARN_SECONDS_PER_ROUND))
+    rounds = max(1, round(seconds * LEARN_ROUNDS_PER_SECOND))
     return steps, rounds
 
 
@@ -643,7 +645,8 @@ def run_learn(seed: int, seconds: float, trace: bool) -> Outcome:
     outcome.attempted = steps + len(bursts) + rounds
     outcome.failed = failed
     outcome.notes.append(f"{steps} base steps, {rounds} rounds, "
-                         f"statuses {statuses}")
+                         f"statuses {statuses}, round seconds "
+                         f"{[round(r, 4) for r in round_seconds]}")
     if trace:
         agg = outcome.ledger.aggregate()
         layers = layer_metrics(agg, ledger.busiest_thread(
@@ -672,7 +675,7 @@ def run_learn(seed: int, seconds: float, trace: bool) -> Outcome:
         "latency_p50_ms": harness.percentile(step_seconds, 50) * 1e3,
         "latency_p90_ms": harness.percentile(step_seconds, 90) * 1e3,
         "cpu_ms_per_op": window.cpu / ops * 1e3,
-        "round_s": statistics.fmean(round_seconds),
+        "round_s": statistics.median(round_seconds),
         "rmse": probe_rmse,
     }
     return outcome
