@@ -18,6 +18,7 @@ honest baseline for ``benchmarks/bench_substrate_micro.py``.
 from __future__ import annotations
 
 import math
+from math import prod
 
 import numpy as np
 
@@ -53,10 +54,21 @@ __all__ = [
     "layer_norm_into",
     "gelu_into",
     "mha_qkv_into",
+    "attend_small_heads",
+    "small_head_tile",
     "sigmoid_rescale_into",
 ]
 
 _FUSED = True
+
+# Attention heads of at most this many dimensions run the token-major core
+# (:func:`attend_small_heads`) instead of batched matmuls: at head_dim 2,
+# ``q·kᵀ`` is two broadcast multiply-adds, while t×2·2×t matmuls and
+# length-t last-axis reductions are bound by dispatch and memory traffic.
+SMALL_HEAD_DIM = 2
+# Score elements per tile of the engine's token-major core (1 MiB at
+# float64), so a tile's scores stay in L2 across the softmax passes.
+SMALL_HEAD_TILE_SCORES = 1 << 17
 
 
 def set_fused_kernels(enabled: bool) -> None:
@@ -275,35 +287,66 @@ def multi_head_attention_qkv(qkv: Tensor, num_heads: int,
     whose columns are ``[W_q | W_k | W_v]``.  Splits heads, attends with the
     1/√head_dim scale folded into ``q``, and re-merges heads, all inside a
     single autograd node whose backward assembles the packed ``(..., t, 3d)``
-    gradient in one allocation.
+    gradient in one allocation.  Heads of at most :data:`SMALL_HEAD_DIM`
+    dimensions run the token-major core (:func:`attend_small_heads`) with a
+    scores buffer for every cell, which it keeps as the attention weights —
+    the same per-cell op sequence :func:`mha_qkv_into` runs over one tile
+    of scratch, so the engine reproduces this forward bit for bit.
     """
     *lead, t, packed = qkv.shape
     d = packed // 3
     head_dim = d // num_heads
     scale = 1.0 / math.sqrt(head_dim)
-    # (..., t, 3, H, hd) -> (3, ..., H, t, hd); copies make the gemms contiguous.
+    # (..., t, 3, H, hd) -> (3, ..., H, t, hd)
     split = np.moveaxis(
         qkv.data.reshape(*lead, t, 3, num_heads, head_dim), -3, 0
     ).swapaxes(-3, -2)
-    qd = np.ascontiguousarray(split[0])
-    kd = np.ascontiguousarray(split[1])
-    vd = np.ascontiguousarray(split[2])
-    probs = _softmax_array((qd * scale) @ np.swapaxes(kd, -1, -2))
-    fused = probs @ vd  # (..., H, t, hd)
-    out = fused.swapaxes(-3, -2).reshape(*lead, t, d)
+    if head_dim <= SMALL_HEAD_DIM:
+        # The core reads qkv in place; the backward gemms take the strided
+        # head views and the (..., H, t, t) transposed view of its scores.
+        qd, kd, vd = split
+        cells = prod(lead)
+        tile = small_head_tile(t, num_heads, cells)
+        dtype = qkv.data.dtype
+        out = np.empty((*lead, t, d), dtype=dtype)
+        scores = np.empty((t, cells, t, num_heads), dtype=dtype)
+        attend_small_heads(
+            qkv.data.reshape(cells, t, packed), num_heads,
+            out.reshape(cells, t, d), scores,
+            np.empty(2 * tile * t * num_heads, dtype=dtype),
+            np.empty(head_dim * tile * t * num_heads, dtype=dtype))
+        probs = np.moveaxis(scores, 0, -1).swapaxes(-3, -2).reshape(
+            *lead, num_heads, t, t)
+    else:
+        # Copies make the gemms contiguous.
+        qd = np.ascontiguousarray(split[0])
+        kd = np.ascontiguousarray(split[1])
+        vd = np.ascontiguousarray(split[2])
+        probs = _softmax_array((qd * scale) @ np.swapaxes(kd, -1, -2))
+        fused = probs @ vd  # (..., H, t, hd)
+        out = fused.swapaxes(-3, -2).reshape(*lead, t, d)
 
     def backward(g):
-        gh = g.reshape(*lead, t, num_heads, head_dim).swapaxes(-3, -2)
-        dv = np.swapaxes(probs, -1, -2) @ gh
+        # A no-op on the matmul branch.  On the small-head branch the
+        # transposed scores view has no unit-stride axis, so the gemms
+        # would fall off BLAS; the strided head views of qkv stay on it.
+        p = np.ascontiguousarray(probs)
+        split_g = g.reshape(*lead, t, num_heads, head_dim)
+        gh = split_g.swapaxes(-3, -2)
+        # Softmax backward: ds = p ∘ (dp − rowsum(dp ∘ p)), where
+        # rowsum(dp ∘ p) = rowsum(g ∘ out) per head — a head_dim-long
+        # reduction instead of a t-long one over the scores.
+        dot = np.sum(split_g * out.reshape(split_g.shape), axis=-1)
         dp = gh @ np.swapaxes(vd, -1, -2)
-        ds = probs * (dp - (dp * probs).sum(axis=-1, keepdims=True))
-        dq = (ds @ kd) * scale
-        dk = (np.swapaxes(ds, -1, -2) @ qd) * scale
+        dp -= np.swapaxes(dot, -1, -2)[..., None]
+        ds = np.multiply(dp, p, out=dp)
         dqkv = np.empty(qkv.shape, dtype=g.dtype)
-        view = dqkv.reshape(*lead, t, 3, num_heads, head_dim)
-        view[..., 0, :, :] = dq.swapaxes(-3, -2)
-        view[..., 1, :, :] = dk.swapaxes(-3, -2)
-        view[..., 2, :, :] = dv.swapaxes(-3, -2)
+        view = np.moveaxis(
+            dqkv.reshape(*lead, t, 3, num_heads, head_dim), -3, 0
+        ).swapaxes(-3, -2)  # (3, ..., H, t, hd) views of dqkv
+        np.multiply(ds @ kd, scale, out=view[0])
+        np.multiply(np.swapaxes(ds, -1, -2) @ qd, scale, out=view[1])
+        np.matmul(np.swapaxes(p, -1, -2), gh, out=view[2])
         return ((qkv, dqkv),)
 
     result = Tensor._from_op(out, (qkv,), backward)
@@ -502,32 +545,135 @@ def softmax_into(scores: np.ndarray, red: np.ndarray) -> np.ndarray:
     return scores
 
 
+def _fold(ufunc, slabs: np.ndarray, acc: np.ndarray) -> np.ndarray:
+    """``acc = ufunc(…ufunc(slabs[0], slabs[1])…, slabs[-1])``: a reduction
+    over the leading axis unrolled left to right, one contiguous slab per
+    call (a fixed order that does not depend on array size or tiling)."""
+    if len(slabs) == 1:
+        np.copyto(acc, slabs[0])
+        return acc
+    ufunc(slabs[0], slabs[1], out=acc)
+    for j in range(2, len(slabs)):
+        ufunc(acc, slabs[j], out=acc)
+    return acc
+
+
+def small_head_tile(t: int, num_heads: int, cells: int) -> int:
+    """Cells per tile of the engine's token-major core: as many as fit
+    :data:`SMALL_HEAD_TILE_SCORES` score elements, at least one, at most
+    ``cells``."""
+    return max(1, min(cells, SMALL_HEAD_TILE_SCORES // (t * t * num_heads)))
+
+
+def attend_small_heads(qkv: np.ndarray, num_heads: int, out: np.ndarray,
+                       scores: np.ndarray, red: np.ndarray,
+                       qs: np.ndarray) -> np.ndarray:
+    """Token-major attention core for heads of ``head_dim <= SMALL_HEAD_DIM``.
+
+    ``qkv`` is ``(cells, t, 3d)`` and ``out`` ``(cells, t, d)``, each with a
+    contiguous last axis (strided leading axes are fine).  q, k and v are
+    read as strided views of ``qkv`` and the result accumulates straight
+    into ``out``: no head split or merge copies.  Per cell and head the
+    scores live in a ``(t_j, cells, t_i, H)`` layout, built with
+    ``head_dim`` broadcast multiply-adds instead of batched ``t×hd·hd×t``
+    matmuls; the softmax max and sum fold over the ``t_j`` slabs with
+    :func:`_fold`; ``probs·v`` accumulates slab by slab in a contiguous
+    accumulator whose last add lands in ``out``.
+
+    ``scores``, ``red`` and ``qs`` are contiguous arrays (any shape).
+    ``red`` and ``qs`` are scratch holding ``2·t·H`` and ``hd·t·H``
+    elements per cell of a tile; cells run in tiles of as many as they
+    hold.  When ``scores`` holds ``t²·H`` elements for every cell, each
+    tile's scores land in their own ``[:, c0:c1]`` slice and the call
+    leaves the attention probabilities behind as ``(t_j, cells, t_i, H)``
+    (the autograd path keeps them); otherwise ``scores`` is one tile of
+    scratch that every tile reuses.  Every op is elementwise per cell, so
+    neither the tile size nor the mode changes a bit of the output.
+    """
+    cells, t, packed = qkv.shape
+    d = packed // 3
+    head_dim = d // num_heads
+    scale = 1.0 / math.sqrt(head_dim)
+    row = t * num_heads  # one cell's (t_i, H) slab
+    tile = max(1, min(red.size // (2 * row), qs.size // (head_dim * row)))
+    keep = scores.size >= t * cells * row
+    if not keep:
+        tile = max(1, min(tile, scores.size // (t * row)))
+    held = cells if keep else tile
+    all_scores = scores.reshape(-1)[: t * held * row].reshape(
+        t, held, t, num_heads)
+    parts = qkv.reshape(cells, t, 3, num_heads, head_dim)
+    heads_out = out.reshape(cells, t, num_heads, head_dim)
+    flat_red = red.reshape(-1)
+    flat_qs = qs.reshape(-1)
+    for c0 in range(0, cells, tile):
+        c1 = min(cells, c0 + tile)
+        count = (c1 - c0) * row
+        s = all_scores[:, c0:c1] if keep else all_scores[:, : c1 - c0]
+        slab = flat_red[:count].reshape(c1 - c0, t, num_heads)
+        acc = flat_red[count: 2 * count].reshape(c1 - c0, t, num_heads)
+        q = flat_qs[: head_dim * count].reshape(head_dim, c1 - c0, t,
+                                                num_heads)
+        block = parts[c0:c1]
+        # (hd, t_j, T, 1, H) / (hd, t_j, T, 1, H): broadcast over t_i.
+        k = block[:, :, 1].transpose(3, 1, 0, 2)[:, :, :, None, :]
+        v = block[:, :, 2].transpose(3, 1, 0, 2)[:, :, :, None, :]
+        for a in range(head_dim):
+            np.multiply(block[:, :, 0, :, a], scale, out=q[a])
+        np.multiply(q[0], k[0], out=s)
+        for a in range(1, head_dim):
+            for j in range(t):
+                np.multiply(q[a], k[a, j], out=slab)
+                np.add(s[j], slab, out=s[j])
+        _fold(np.maximum, s, slab)
+        np.subtract(s, slab, out=s)
+        np.exp(s, out=s)
+        _fold(np.add, s, slab)
+        np.divide(s, slab, out=s)
+        for a in range(head_dim):
+            o = heads_out[c0:c1, :, :, a]
+            np.multiply(s[0], v[a, 0], out=acc if t > 1 else o)
+            for j in range(1, t):
+                np.multiply(s[j], v[a, j], out=slab)
+                np.add(acc, slab, out=acc if j < t - 1 else o)
+    return out
+
+
 def mha_qkv_into(qkv: np.ndarray, num_heads: int, out: np.ndarray,
-                 q: np.ndarray, k: np.ndarray, v: np.ndarray,
+                 q: np.ndarray, k: np.ndarray | None, v: np.ndarray | None,
                  scores: np.ndarray, red: np.ndarray,
-                 ctx: np.ndarray, spans=None) -> np.ndarray:
+                 ctx: np.ndarray | None, spans=None) -> np.ndarray:
     """Packed-QKV multi-head attention into ``out`` — mirrors
     :func:`multi_head_attention_qkv`.
 
-    ``qkv`` is ``(..., t, 3d)``; ``q``/``k``/``v``/``ctx`` are
-    ``(..., H, t, hd)`` head-major buffers, ``scores`` is ``(..., H, t, t)``
-    and ``red`` its ``(..., H, t, 1)`` reduction scratch; ``out`` is
-    ``(..., t, d)``.
+    ``qkv`` is ``(..., t, 3d)`` and ``out`` ``(..., t, d)``.  Heads of
+    ``head_dim <= SMALL_HEAD_DIM`` run :func:`attend_small_heads`, tiled
+    over the cells: ``scores``/``red``/``q`` are its tile scratch and
+    ``k``/``v``/``ctx`` go unused.  Larger heads run batched matmuls:
+    ``q``/``k``/``v``/``ctx`` are ``(..., H, t, hd)`` head-major buffers,
+    ``scores`` is ``(..., H, t, t)`` and ``red`` its ``(..., H, t, 1)``
+    reduction scratch.
 
-    ``spans`` is the padded-packing row mask, expressed structurally: a
-    sequence of ``(q_s, k_swapped_s, v_s, scores_s, red_s, ctx_s)`` view
-    tuples, each slicing the head-major buffers down to one span's *real*
-    batch rows and token count.  With spans, the attention core (``q kᵀ``,
-    softmax, ``probs @ v``) runs once per span on those sliced views, so
-    padded rows and columns never enter a reduction — every real row's
-    scores stay bitwise identical to an unpadded run, while the head
-    split/merge copies and the 1/√hd scale still execute on the full
-    (padded) buffers in one shot.  Padded regions of ``ctx``/``out`` are
-    left stale; callers must never extract them.
+    ``spans`` is the padded-packing row mask, expressed structurally: per
+    span, views that slice the buffers down to one span's *real* batch
+    rows and token count, so padded rows and columns never enter a
+    reduction and every real row stays bitwise identical to an unpadded
+    run.  Small heads take ``(qkv_s, out_s)`` pairs with one leading cell
+    axis.  Larger heads take ``(q_s, k_swapped_s, v_s, scores_s, red_s,
+    ctx_s)`` head-major views: the core (``q kᵀ``, softmax, ``probs @ v``)
+    runs once per span while the head split/merge copies and the 1/√hd
+    scale still execute on the full (padded) buffers in one shot.  Padded
+    regions of ``out`` are left stale; callers must never extract them.
     """
     *lead, t, packed = qkv.shape
     d = packed // 3
     head_dim = d // num_heads
+    if head_dim <= SMALL_HEAD_DIM:
+        if spans is None:
+            spans = ((qkv.reshape(-1, t, packed), out.reshape(-1, t, d)),)
+        for qkv_s, out_s in spans:
+            attend_small_heads(qkv_s, num_heads, out_s, scores, red, q)
+        return out
     scale = 1.0 / math.sqrt(head_dim)
     split = np.moveaxis(
         qkv.reshape(*lead, t, 3, num_heads, head_dim), -3, 0

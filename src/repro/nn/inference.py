@@ -311,12 +311,22 @@ class InferencePlan:
         x_count = cells * e
         scores_count = x_count
         red_count = 0
+        head_major = ("q",)  # the token-major core needs only "q"
         for kind in self._enabled_kinds():
             bshape, t, d, heads = self._attn_shapes(kind)
             batch = prod(bshape) if bshape else 1
-            scores_count = max(scores_count, batch * heads * t * t)
-            red_count = max(red_count, batch * heads * t, batch * t)
-        for name in ("normed", "attn", "q", "k", "v", "ctx"):
+            red_count = max(red_count, batch * t)  # layer-norm rows
+            if d // heads <= F.SMALL_HEAD_DIM:
+                # One tile of the token-major core; its scaled q sits in
+                # the "q" arena, which x_count always covers.
+                tile = F.small_head_tile(t, heads, batch)
+                scores_count = max(scores_count, tile * heads * t * t)
+                red_count = max(red_count, 2 * tile * heads * t)
+            else:
+                scores_count = max(scores_count, batch * heads * t * t)
+                red_count = max(red_count, batch * heads * t)
+                head_major = ("q", "k", "v", "ctx")
+        for name in ("normed", "attn") + head_major:
             ws.reserve(name, x_count)
         ws.reserve("qkv", 3 * x_count)
         ws.reserve("scores", scores_count)
@@ -393,6 +403,15 @@ class InferencePlan:
         step.sq = ws.view("scores", xshape)       # dead before scores live
         step.red_ln = ws.view("red", (*bshape, t, 1))
         step.qkv = ws.view("qkv", (*bshape, t, 3 * d))
+        step.attn_out = ws.view("attn", xshape)
+        if head_dim <= F.SMALL_HEAD_DIM:
+            # One tile of token-major scratch; see F.attend_small_heads.
+            tile = F.small_head_tile(t, heads, prod(bshape))
+            step.scores = ws.view("scores", (t, tile, t, heads))
+            step.red = ws.view("red", (2, tile, t, heads))
+            step.q = ws.view("q", (head_dim, tile, t, heads))
+            step.k = step.v = step.ctx = None
+            return step
         head_shape = (*bshape, heads, t, head_dim)
         step.q = ws.view("q", head_shape)
         step.k = ws.view("k", head_shape)
@@ -400,7 +419,6 @@ class InferencePlan:
         step.ctx = ws.view("ctx", head_shape)
         step.scores = ws.view("scores", (*bshape, heads, t, t))
         step.red = ws.view("red", (*bshape, heads, t, 1))
-        step.attn_out = ws.view("attn", xshape)
         return step
 
     @staticmethod
@@ -632,10 +650,20 @@ class InferencePlan:
         return program
 
     def _span_views(self, kind: str, groups):
-        """Per-group sliced (q, kᵀ, v, scores, red, ctx) views for one kind."""
+        """Per-group sliced views for one kind: ``(qkv, out)`` per batch row
+        for small heads, ``(q, kᵀ, v, scores, red, ctx)`` per group else."""
         ws = self.workspace
         bshape, t, d, heads = self._attn_shapes(kind)
         head_dim = d // heads
+        if head_dim <= F.SMALL_HEAD_DIM:
+            qkv = ws.view("qkv", (*bshape, t, 3 * d))
+            out = ws.view("attn", (*bshape, t, d))
+            spans = []
+            for b0, b1, n_i, m_i in groups:
+                g, tt = (m_i, n_i) if kind == "user" else (n_i, m_i)
+                for b in range(b0, b1):
+                    spans.append((qkv[b, :g, :tt], out[b, :g, :tt]))
+            return spans
         head_shape = (*bshape, heads, t, head_dim)
         q = ws.view("q", head_shape)
         k = ws.view("k", head_shape)

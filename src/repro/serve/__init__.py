@@ -46,8 +46,10 @@ from .dataplane import (
     GraphStore,
     UpdateResult,
     dedupe_deltas,
+    validate_deltas,
 )
 from .errors import (
+    InvalidUpdateError,
     QueueFullError,
     RequestError,
     ServeError,
@@ -75,6 +77,7 @@ __all__ = [
     "ServiceClosedError",
     "UnknownModelError",
     "RequestError",
+    "InvalidUpdateError",
     # registry
     "ModelRegistry",
     "ModelVersion",
@@ -97,6 +100,7 @@ __all__ = [
     "EntityVersions",
     "UpdateResult",
     "dedupe_deltas",
+    "validate_deltas",
     # service
     "PredictionService",
     "ServiceConfig",

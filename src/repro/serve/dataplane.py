@@ -54,6 +54,7 @@ from typing import NamedTuple
 import numpy as np
 
 from ..data.bipartite import RatingGraph
+from .errors import InvalidUpdateError
 
 __all__ = [
     "GraphSnapshot",
@@ -61,6 +62,7 @@ __all__ = [
     "UpdateResult",
     "GraphStore",
     "dedupe_deltas",
+    "validate_deltas",
 ]
 
 _EMPTY = np.empty(0, dtype=np.int64)
@@ -101,6 +103,32 @@ class UpdateResult:
     changed_items: np.ndarray = field(default_factory=lambda: _EMPTY)
     full_invalidation: bool = False
     generation: int = 0
+
+
+def validate_deltas(ratings: np.ndarray, num_users: int, num_items: int,
+                    rating_range: tuple[float, float] | None = None) -> None:
+    """Reject a ``(user, item, rating)`` batch whole if any triple is bad.
+
+    Every value must be finite, and ids integral and inside
+    ``[0, num_users)`` / ``[0, num_items)`` — a cast to int64 would
+    otherwise truncate user 1.7 to 1 and wrap user -1 to the last one.
+    With ``rating_range`` the ratings must also lie on that closed scale.
+    Raises :class:`~repro.serve.errors.InvalidUpdateError`.
+    """
+    if not np.isfinite(ratings).all():
+        raise InvalidUpdateError("rating deltas must be finite")
+    users, items, values = ratings[:, 0], ratings[:, 1], ratings[:, 2]
+    if (np.floor(users) != users).any() or (np.floor(items) != items).any():
+        raise InvalidUpdateError("user and item ids must be integral")
+    if (users < 0).any() or (users >= num_users).any():
+        raise InvalidUpdateError(f"user ids must lie in [0, {num_users})")
+    if (items < 0).any() or (items >= num_items).any():
+        raise InvalidUpdateError(f"item ids must lie in [0, {num_items})")
+    if rating_range is not None:
+        low, high = rating_range
+        if (values < low).any() or (values > high).any():
+            raise InvalidUpdateError(
+                f"ratings must lie in [{low}, {high}]")
 
 
 def dedupe_deltas(graph: RatingGraph, ratings: np.ndarray) -> np.ndarray:
@@ -256,9 +284,14 @@ class GraphStore:
         invalidation race-free against in-flight assemblies (see the
         module docstring).  Returns the batch's :class:`UpdateResult`;
         ``applied == 0`` means nothing changed (and nothing was
-        invalidated or teed).
+        invalidated or teed).  A malformed batch (see
+        :func:`validate_deltas`) raises
+        :class:`~repro.serve.errors.InvalidUpdateError` before anything
+        changes.
         """
         ratings = np.asarray(ratings, dtype=np.float64).reshape(-1, 3)
+        graph = self._state.graph  # every derived graph keeps its sizes
+        validate_deltas(ratings, graph.num_users, graph.num_items)
         with self._lock:
             graph, users_pool, items_pool, generation, epoch = self._state
             applied = dedupe_deltas(graph, ratings)

@@ -3,7 +3,8 @@
 Every rejection the service can hand back is a distinct exception type, so
 clients can tell load shedding (retry later, :class:`QueueFullError`) from
 shutdown (:class:`ServiceClosedError`) from a request that can never
-succeed (:class:`RequestError`).
+succeed (:class:`RequestError`) or a rating-delta batch the data plane
+refuses whole (:class:`InvalidUpdateError`).
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ __all__ = [
     "ServiceClosedError",
     "UnknownModelError",
     "RequestError",
+    "InvalidUpdateError",
 ]
 
 
@@ -43,3 +45,13 @@ class UnknownModelError(ServeError, KeyError):
 
 class RequestError(ServeError, ValueError):
     """A malformed request (empty item list, already-rated target, ...)."""
+
+
+class InvalidUpdateError(ServeError, ValueError):
+    """A rating-delta batch rejected whole before any of it applied.
+
+    Raised for a non-finite value, a non-integral or out-of-range user or
+    item id, or (at the service) a rating outside the dataset's scale.  A
+    rejected batch leaves the graph generation, the caches and the
+    ``RatingLog`` exactly as they were.
+    """

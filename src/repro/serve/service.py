@@ -23,9 +23,7 @@ Ties the serving pieces together behind ``submit()`` / ``predict()`` /
   rounded up to ``pack_bucket`` multiples, bounded by ``pack_max_waste``
   — and each bucket executes as one padded, stacked
   :func:`repro.nn.inference.forward_inference_packed` call whose real
-  rows are bitwise identical to unpadded per-request forwards (the
-  historical ``share_contexts`` flag now aliases this exact path; the old
-  approximate jointly-sampled mode is retired);
+  rows are bitwise identical to unpadded per-request forwards;
 * a warm-entity :class:`repro.nn.inference.EmbeddingStore` reuses encoder
   attribute rows across requests, dropped on registry hot swaps and
   invalidated per-entity on ``update_ratings``;
@@ -64,8 +62,13 @@ from .cache import (
     context_cache_key,
     frontier_cache_key,
 )
-from .dataplane import GraphStore, UpdateResult
-from .errors import QueueFullError, RequestError, ServiceClosedError
+from .dataplane import GraphStore, UpdateResult, validate_deltas
+from .errors import (
+    InvalidUpdateError,
+    QueueFullError,
+    RequestError,
+    ServiceClosedError,
+)
 from .registry import ModelRegistry
 from .workers import WorkerPool
 
@@ -124,11 +127,6 @@ class ServiceConfig:
     pack_contexts: bool = True
     pack_bucket: int = 8
     pack_max_waste: float = 1.0
-    # Historical alias for the packed path.  Earlier versions implemented
-    # share_contexts as an approximate jointly-sampled mode; that mode is
-    # retired — the flag now simply forces pack_contexts on and serving
-    # stays bit-identical to sequential prediction.
-    share_contexts: bool = False
     # Reuse encoder attribute rows for warm entities across requests
     # (repro.nn.inference.EmbeddingStore; bitwise identical, invalidated
     # on hot swap and update_ratings).
@@ -196,8 +194,6 @@ class ServiceConfig:
                         "(deeper queue -> smaller contexts)")
             if any(n < 2 or m < 2 for _, n, m in self.budget_ladder):
                 raise ValueError("ladder context budgets must be >= 2")
-        if self.share_contexts:
-            self.pack_contexts = True
 
 
 class PredictionService:
@@ -233,6 +229,10 @@ class PredictionService:
         self._model = None if self._registry is not None else models
         if self._model is not None:
             self._model.eval()
+            encoder = self._model.encoder
+            self._rating_range = (encoder.rating_low, encoder.rating_high)
+        else:
+            self._rating_range = tuple(self._registry.dataset.rating_range)
         self.sampler = sampler or NeighborhoodSampler()
         self.metrics = metrics if metrics is not None else obs.MetricsRegistry()
         # One injectable clock for everything time-related on the serve
@@ -481,8 +481,22 @@ class PredictionService:
         delta that rates a queried pair can never fail (or leak into) a
         request that was already accepted.  Only submissions after the
         update see the new graph.
+
+        A malformed batch — a non-finite value, a non-integral or
+        out-of-range id, or a rating outside the dataset's
+        ``rating_range`` — is rejected whole with
+        :class:`~repro.serve.errors.InvalidUpdateError` and counted in
+        ``serve.updates_rejected_total``; nothing changes.
         """
-        return self._store.apply(ratings).applied
+        ratings = np.asarray(ratings, dtype=np.float64).reshape(-1, 3)
+        graph = self._store.state.graph
+        try:
+            validate_deltas(ratings, graph.num_users, graph.num_items,
+                            self._rating_range)
+            return self._store.apply(ratings).applied
+        except InvalidUpdateError:
+            self._counter("updates_rejected_total").inc()
+            raise
 
     def _on_graph_update(self, result: UpdateResult) -> None:
         """GraphStore subscriber: translate an update into invalidation."""

@@ -63,10 +63,32 @@ class TestGradchecks:
         check_grad(lambda v: F.scaled_dot_product_attention(Tensor(q0), Tensor(k0), v),
                    v0, tol=1e-5)
 
-    def test_multi_head_attention_qkv(self, rng):
-        # (batch, t, 3d) packed projection, d = 4, 2 heads.
-        check_grad(lambda t: F.multi_head_attention_qkv(t, num_heads=2),
+    @pytest.mark.parametrize("num_heads", [1, 2])
+    def test_multi_head_attention_qkv(self, rng, num_heads):
+        # (batch, t, 3d) packed projection, d = 4: one head of dim 4 runs
+        # the matmul branch, two heads of dim 2 the token-major core.
+        check_grad(lambda t: F.multi_head_attention_qkv(t, num_heads),
                    rng.normal(size=(2, 3, 12)), tol=1e-5)
+
+    def test_attention_branches_agree(self, rng, monkeypatch):
+        """The token-major core and the matmul branch compute the same
+        attention: outputs, gradients and the (…, H, t, t) row-stochastic
+        weights that ``capture_attention`` and the Fig. 9 case study read."""
+        qkv = rng.normal(size=(2, 3, 5, 12))  # d = 4, 2 heads: head_dim 2
+        upstream = rng.normal(size=(2, 3, 5, 4))
+        results = []
+        for small_head_dim in (F.SMALL_HEAD_DIM, 0):  # 0 forces matmul
+            monkeypatch.setattr(F, "SMALL_HEAD_DIM", small_head_dim)
+            x = Tensor(qkv, requires_grad=True)
+            out, weights = F.multi_head_attention_qkv(x, 2, need_weights=True)
+            (out * Tensor(upstream)).sum().backward()
+            assert weights.shape == (2, 3, 2, 5, 5)
+            assert (weights >= 0).all()
+            np.testing.assert_allclose(weights.sum(axis=-1), 1.0,
+                                       rtol=0, atol=1e-12)
+            results.append((out.data, weights, x.grad))
+        for token_major, matmul in zip(*results):
+            np.testing.assert_allclose(token_major, matmul, atol=EQ_TOL, rtol=0)
 
     def test_gradcheck_through_packed_mhsa(self, rng):
         mhsa = MultiHeadSelfAttention(4, 2, rng)

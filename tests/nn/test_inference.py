@@ -416,3 +416,141 @@ class TestEmbeddingStore:
         out = inference.forward_inference(model, ctx, embed_store=fresh).copy()
         expected = inference.forward_inference(model, ctx).copy()
         assert out.tobytes() == expected.tobytes()
+
+
+# ---------------------------------------------------------------------- #
+# Small-head (token-major) attention core
+# ---------------------------------------------------------------------- #
+def paper_model(dataset, **overrides):
+    """The paper-default shape: K=3, 8 heads, attr_dim 16 — MBA head_dim 2."""
+    config = dict(num_blocks=3, num_heads=8, attr_dim=16)
+    config.update(overrides)
+    model = HIRE(dataset, HIREConfig(**config))
+    model.eval()
+    return model
+
+
+def make_batch(graph, count, n, m, seed=5):
+    rng = np.random.default_rng(seed)
+    return [build_context(graph,
+                          rng.choice(graph.num_users, n, replace=False),
+                          rng.choice(graph.num_items, m, replace=False),
+                          rng, reveal_fraction=0.3)
+            for _ in range(count)]
+
+
+def mba_tile(model):
+    """Cells per tile of the engine's MBA core for ``model``."""
+    return nn.functional.small_head_tile(
+        model.encoder.num_attributes,
+        model.blocks[0].attr_attention.num_heads, 1 << 30)
+
+
+def count_core_calls(monkeypatch):
+    calls = []
+    core = nn.functional.attend_small_heads
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return core(*args, **kwargs)
+
+    monkeypatch.setattr(nn.functional, "attend_small_heads", counted)
+    return calls
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("count, n, m", [(8, 32, 32), (3, 13, 11)])
+def test_small_head_engine_bitwise_identical_to_tensor_path(
+        dataset, graph, dtype, count, n, m):
+    """Serve-steady shape (8 contexts of 32×32) and a cell count that is
+    not a multiple of the tile: the tiled engine core and the untiled
+    Tensor-path core produce the same bytes."""
+    with nn.dtype_policy(dtype):
+        model = paper_model(dataset)
+        tile = mba_tile(model)
+        cells = count * n * m
+        assert cells > tile and cells % tile, "shape must span partial tiles"
+        contexts = make_batch(graph, count, n, m)
+        with nn.no_grad():
+            ref = model.forward_many(contexts).data.copy()
+        out = inference.forward_inference_many(model, contexts).copy()
+    assert out.dtype == dtype
+    assert ref.tobytes() == out.tobytes()
+
+
+def test_small_head_packed_matches_solo(dataset, graph):
+    """A packed mixed-shape batch whose MBA cells span several tiles:
+    padded cells stay inert and every real row matches its solo forward."""
+    model = paper_model(dataset)
+    tile = mba_tile(model)
+    contexts = make_mixed_contexts(graph)
+    assert len(contexts) * 8 * 8 > tile
+    refs = [inference.forward_inference(model, c).copy() for c in contexts]
+    outputs, slots = inference.forward_inference_packed(model, contexts, 8, 8)
+    for i, (context, ref) in enumerate(zip(contexts, refs)):
+        got = outputs[slots[i]][:context.n, :context.m]
+        assert ref.tobytes() == got.tobytes()
+
+
+def test_small_head_packed_user_item_spans(dataset, graph):
+    """head_dim 1 everywhere (attr_dim 1, one head per attribute): the
+    MBU/MBI cores run token-major on the per-row packing spans."""
+    heads = paper_model(dataset, num_blocks=1).encoder.num_attributes
+    model = paper_model(dataset, num_blocks=2, num_heads=heads, attr_dim=1)
+    assert model.blocks[0].user_attention.head_dim == 1
+    contexts = make_mixed_contexts(graph)
+    refs = [inference.forward_inference(model, c).copy() for c in contexts]
+    with nn.no_grad():
+        tensor_refs = [model.forward(c).data.copy() for c in contexts]
+    outputs, slots = inference.forward_inference_packed(model, contexts, 8, 8)
+    for i, context in enumerate(contexts):
+        got = outputs[slots[i]][:context.n, :context.m]
+        assert refs[i].tobytes() == got.tobytes()
+        assert tensor_refs[i].tobytes() == refs[i].tobytes()
+
+
+def test_small_head_zero_steady_state_allocations(dataset, graph):
+    """The tracemalloc pin for a head_dim-2 plan whose MBA cells span
+    several tiles: the tile loop reuses the plan's arenas."""
+    inference.clear_cache()
+    model = paper_model(dataset)
+    tile = mba_tile(model)
+    contexts = make_batch(graph, 2, 16, 16)
+    assert 2 * 16 * 16 > 2 * tile
+    for _ in range(3):
+        inference.forward_inference_many(model, contexts)
+    gc.collect()
+    tracemalloc.start()
+    base = tracemalloc.take_snapshot()
+    for _ in range(10):
+        inference.forward_inference_many(model, contexts)
+    gc.collect()
+    snap = tracemalloc.take_snapshot()
+    tracemalloc.stop()
+    growth = sum(stat.size_diff for stat in snap.compare_to(base, "filename")
+                 if "repro" in (stat.traceback[0].filename or ""))
+    assert growth < 1024, f"steady-state tiled engine leaked {growth} bytes"
+
+
+@pytest.mark.parametrize("attr_dim, expect_core", [(16, True), (8, False)])
+def test_head_dim_selects_branch(dataset, graph, monkeypatch, attr_dim,
+                                 expect_core):
+    """MBA head_dim 2 (attr 16, 8 heads) takes the token-major core on both
+    paths; head_dim 4 (attr 8, 2 heads) keeps the matmul branch — and both
+    stay bitwise equal to the Tensor path."""
+    model = paper_model(dataset, num_blocks=2, attr_dim=attr_dim,
+                        num_heads=8 if expect_core else 2)
+    assert (model.blocks[0].attr_attention.head_dim <= 2) == expect_core
+    calls = count_core_calls(monkeypatch)
+    contexts = make_batch(graph, 2, 12, 10)
+    with nn.no_grad():
+        ref = model.forward_many(contexts).data.copy()
+    tensor_calls = len(calls)
+    out = inference.forward_inference_many(model, contexts).copy()
+    engine_calls = len(calls) - tensor_calls
+    assert ref.tobytes() == out.tobytes()
+    if expect_core:
+        # One MBA step per block on each path.
+        assert tensor_calls == engine_calls == 2
+    else:
+        assert tensor_calls == engine_calls == 0

@@ -12,7 +12,14 @@ import numpy as np
 import pytest
 
 from repro.data import RatingGraph
-from repro.serve import GraphStore, PredictionService, dedupe_deltas
+from repro.online import RatingLog
+from repro.serve import (
+    GraphStore,
+    InvalidUpdateError,
+    PredictionService,
+    dedupe_deltas,
+    validate_deltas,
+)
 from repro.serve.dataplane import EntityVersions
 
 
@@ -203,6 +210,43 @@ class TestGraphStore:
         snapshot = store.state
         assert snapshot[3] == snapshot.generation
         assert snapshot[4] == snapshot.epoch
+
+
+class TestDeltaValidation:
+    BAD = {
+        "nan-rating": [0, 1, np.nan],
+        "inf-rating": [0, 1, np.inf],
+        "nan-user": [np.nan, 1, 4.0],
+        "fractional-user": [1.7, 1, 4.0],
+        "fractional-item": [0, 0.5, 4.0],
+        "negative-user": [-1, 1, 4.0],
+        "item-out-of-range": [0, 4, 4.0],
+    }
+
+    @pytest.mark.parametrize("bad", list(BAD.values()), ids=list(BAD))
+    def test_store_rejects_whole_batch(self, bad):
+        """One bad triple rejects the batch before dedupe, version bumps
+        or the log tee: the valid triple riding along never lands."""
+        graph = RatingGraph(np.array([[0, 0, 3.0], [1, 1, 4.0]]), 4, 4)
+        log = RatingLog()
+        store = GraphStore(graph, np.array([0, 1]), np.array([0, 1]),
+                           rating_log=log)
+        with pytest.raises(InvalidUpdateError):
+            store.apply(np.array([[0, 1, 5.0], bad]))
+        assert store.state.graph is graph
+        assert store.generation == 0
+        assert len(log) == 0
+        assert store.stats()["updates_total"] == 0
+        assert not store.versions.users.any()
+
+    def test_rating_range_is_optional_and_closed(self):
+        deltas = np.array([[0, 1, 1.0], [1, 0, 5.0]])
+        validate_deltas(deltas, 2, 2)
+        validate_deltas(deltas, 2, 2, (1.0, 5.0))
+        with pytest.raises(InvalidUpdateError):
+            validate_deltas(np.array([[0, 1, 99.0]]), 2, 2, (1.0, 5.0))
+        with pytest.raises(InvalidUpdateError):
+            validate_deltas(np.array([[0, 1, 0.5]]), 2, 2, (1.0, 5.0))
 
 
 class TestServiceIncrementalInvalidation:

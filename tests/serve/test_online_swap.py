@@ -154,12 +154,16 @@ class TestConcurrentUpdatesAndSubmits:
         applied_total = []
         with make_service(serve_model, ml_split, serve_tasks, num_workers=2,
                           max_batch_size=4, queue_size=512) as service:
+            # A value the pair does not hold yet, fixed per pair, so every
+            # first delta is a real change and a repeated pair restates it.
+            graph = service.graph_store.state.graph
+            values = {pair: 1.0 if graph.rating(*pair) == 5.0 else 5.0
+                      for pair in update_pairs}
+
             def writer():
-                # 99.0 can never equal an existing rating, so every delta
-                # is a real change regardless of the pair's prior state.
                 for user, item in update_pairs:
-                    applied_total.append(
-                        service.update_ratings([[user, item, 99.0]]))
+                    applied_total.append(service.update_ratings(
+                        [[user, item, values[user, item]]]))
 
             thread = threading.Thread(target=writer)
             futures = []

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from repro.core import HIRE, HIREConfig, HIREPredictor
+from repro.online import RatingLog
 from repro.serve import (
+    InvalidUpdateError,
     ModelRegistry,
     PredictionService,
     QueueFullError,
@@ -271,24 +273,6 @@ class TestObservability:
         assert stats["queue_depth"] == 0
         assert stats["graph_generation"] == 0
         assert "cache" in stats
-
-
-class TestSharedContexts:
-    def test_share_contexts_is_now_exact(self, serve_model, ml_split,
-                                         serve_tasks, sequential_scores):
-        """``share_contexts`` aliases the exact packed path: scores are
-        bit-identical to sequential prediction (the historical approximate
-        jointly-sampled mode is retired)."""
-        with make_service(serve_model, ml_split, serve_tasks,
-                          share_contexts=True, max_batch_size=8,
-                          num_workers=1, max_wait_seconds=0.25,
-                          cache_enabled=False) as service:
-            assert service.config.pack_contexts  # forced on by the alias
-            futures = [service.submit(t.user, t.query_items, t.support_items)
-                       for t in serve_tasks]
-            got = [f.result(60) for f in futures]
-        for expected, scores in zip(sequential_scores, got):
-            assert np.array_equal(expected, scores)
 
 
 class TestPackedServing:
@@ -600,3 +584,39 @@ class TestFrontierCacheService:
             assert "frontier_cache" not in service.stats()
         for expected, scores in zip(sequential_scores, got):
             assert np.array_equal(expected, scores)
+
+
+class TestUpdateValidation:
+    @pytest.mark.parametrize("override", [
+        {"rating": np.nan}, {"rating": np.inf}, {"rating": 99.0},
+        {"user": 1.7},
+    ], ids=["nan", "inf", "off-scale", "fractional-user"])
+    def test_rejected_batch_changes_nothing(self, serve_model, ml_split,
+                                            serve_tasks, override):
+        """A batch with one bad triple is refused whole: generation,
+        context/frontier caches and the RatingLog stay as they were, and
+        the rejection is counted."""
+        log = RatingLog()
+        task, other = serve_tasks[0], serve_tasks[1]
+        user, item = other.user, int(other.query_items[0])
+        bad = [override.get("user", user), item, override.get("rating", 4.0)]
+        service = PredictionService.from_split(
+            serve_model, ml_split, serve_tasks, config=ServiceConfig(),
+            rating_log=log)
+        with service:
+            service.predict(task.user, task.query_items, task.support_items)
+            before = (service.graph_generation, len(service.cache),
+                      len(service.frontier_cache),
+                      service.cache.stats.snapshot())
+            with pytest.raises(InvalidUpdateError):
+                service.update_ratings([[user, item, 4.0], bad])
+            after = (service.graph_generation, len(service.cache),
+                     len(service.frontier_cache),
+                     service.cache.stats.snapshot())
+            assert after == before
+            assert len(log) == 0
+            rejected = service.metrics.snapshot()["serve.updates_rejected_total"]
+            assert rejected["value"] == 1
+            # The valid triple alone still applies.
+            assert service.update_ratings([[user, item, 4.0]]) == 1
+            assert len(log) == 1
