@@ -63,11 +63,15 @@ class TestGradchecks:
         check_grad(lambda v: F.scaled_dot_product_attention(Tensor(q0), Tensor(k0), v),
                    v0, tol=1e-5)
 
-    @pytest.mark.parametrize("num_heads", [1, 2])
-    def test_multi_head_attention_qkv(self, rng, num_heads):
-        # (batch, t, 3d) packed projection, d = 4: one head of dim 4 runs
-        # the matmul branch, two heads of dim 2 the token-major core.
-        check_grad(lambda t: F.multi_head_attention_qkv(t, num_heads),
+    def test_multi_head_attention_qkv(self, rng):
+        # (batch, t, 3d) packed projection, d = 4, 2 heads of dim 2: the
+        # token-major core.
+        check_grad(lambda t: F.multi_head_attention_qkv(t, num_heads=2),
+                   rng.normal(size=(2, 3, 12)), tol=1e-5)
+
+    def test_multi_head_attention_qkv_matmul_branch(self, rng):
+        # One head of dim 4 runs the matmul branch.
+        check_grad(lambda t: F.multi_head_attention_qkv(t, num_heads=1),
                    rng.normal(size=(2, 3, 12)), tol=1e-5)
 
     def test_attention_branches_agree(self, rng, monkeypatch):
